@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-json bench-baseline cover perf-check lint vet fmt-check tables examples linkcheck api api-check serve-smoke faults-smoke apps-smoke obs-smoke workers-smoke profile
+.PHONY: build test race fuzz-smoke bench bench-smoke bench-json bench-baseline cover perf-check lint vet fmt-check tables examples linkcheck api api-check serve-smoke faults-smoke apps-smoke obs-smoke workers-smoke profile
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,13 @@ race:
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 30
+
+# Ten seconds of coverage-guided fuzzing of the irregular planners
+# against their dense oracles (FuzzIrregularPlanners). The committed
+# seed corpus under internal/sched/testdata/fuzz runs in every
+# `make test`; this target searches beyond it.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzIrregularPlanners$$' -fuzztime 10s ./internal/sched/
 
 # Full paper-scale experiment benchmarks (host ns/op + simulated-time
 # metrics); see also the engine micro-benchmarks in internal/sim.

@@ -219,17 +219,35 @@ func BenchmarkTable12RealPatterns(b *testing.B) {
 }
 
 // BenchmarkScheduleConstruction measures schedule-building cost alone
-// (the paper amortizes it over iterations; this shows it is negligible).
+// (the paper amortizes it over iterations; this shows it is negligible):
+// every irregular planner, GSR included, on the N=1024 hotspot and
+// permutation catalogue patterns and on a 50%-dense synthetic N=32
+// pattern.
 func BenchmarkScheduleConstruction(b *testing.B) {
-	p := pattern.Synthetic(32, 0.5, 256, 9)
-	for _, alg := range exp.IrregularAlgs {
-		b.Run(alg, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sched.Irregular(alg, p); err != nil {
-					b.Fatal(err)
-				}
+	inputs := []struct {
+		name string
+		p    pattern.Matrix
+	}{
+		{"hotspot-1024", pattern.HotSpot(1024, 0, 256)},
+		{"permutation-1024", pattern.RandomPermutation(1024, 256, 9)},
+		{"synthetic-32", pattern.Synthetic(32, 0.5, 256, 9)},
+	}
+	for _, in := range inputs {
+		for _, alg := range append(append([]string(nil), exp.IrregularAlgs...), "GSR") {
+			inf, err := sched.Lookup(alg)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			req := sched.Request{Pattern: in.p, Seed: 1}
+			b.Run(in.name+"/"+alg, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := inf.Plan(req); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -2,7 +2,9 @@
 // JSON benchmark report. It understands the BenchmarkTopology/<topo>/<alg>
 // naming of this repo's topology benchmarks and records ns/op per
 // (topology, algorithm) cell; other benchmark lines pass through with
-// the sub-benchmark path split on "/".
+// the sub-benchmark path split on "/". The sim_ms metric and, for
+// benchmarks run with -benchmem or b.ReportAllocs, B/op and allocs/op
+// are kept alongside ns/op.
 //
 // Usage (what `make bench-json` runs):
 //
@@ -24,12 +26,14 @@ import (
 
 // Result is one benchmark line.
 type Result struct {
-	Benchmark  string  `json:"benchmark"`
-	Topology   string  `json:"topology,omitempty"`
-	Algorithm  string  `json:"algorithm,omitempty"`
-	Iterations int     `json:"iterations"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	SimMs      float64 `json:"sim_ms,omitempty"`
+	Benchmark   string  `json:"benchmark"`
+	Topology    string  `json:"topology,omitempty"`
+	Algorithm   string  `json:"algorithm,omitempty"`
+	Iterations  int     `json:"iterations"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	SimMs       float64 `json:"sim_ms,omitempty"`
+	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
+	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 }
 
 // ReportSchema versions the report format so downstream consumers
@@ -47,8 +51,11 @@ type Report struct {
 
 // benchLine matches e.g.
 //
-//	BenchmarkTopology/fat-tree/BS-8   1   123456 ns/op   0.42 sim_ms
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) sim_ms)?`)
+//	BenchmarkTopology/fat-tree/BS-8   1   123456 ns/op   0.42 sim_ms   2048 B/op   17 allocs/op
+//
+// capturing the name (without the -GOMAXPROCS suffix), the iteration
+// count, ns/op and the rest of the line's "value unit" metric pairs.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op((?:\s+[\d.]+ \S+)*)`)
 
 func main() {
 	out := flag.String("out", "", "output file (default stdout)")
@@ -85,9 +92,19 @@ func run(in io.Reader, outPath string) error {
 			return fmt.Errorf("bad ns/op in %q: %w", line, err)
 		}
 		r := Result{Benchmark: m[1], Iterations: iters, NsPerOp: ns}
-		if m[4] != "" {
-			if r.SimMs, err = strconv.ParseFloat(m[4], 64); err != nil {
-				return fmt.Errorf("bad sim_ms in %q: %w", line, err)
+		metrics := strings.Fields(m[4])
+		for k := 0; k+1 < len(metrics); k += 2 {
+			val, unit := metrics[k], metrics[k+1]
+			switch unit {
+			case "sim_ms":
+				r.SimMs, err = strconv.ParseFloat(val, 64)
+			case "B/op":
+				r.BytesPerOp, err = strconv.ParseInt(val, 10, 64)
+			case "allocs/op":
+				r.AllocsPerOp, err = strconv.ParseInt(val, 10, 64)
+			}
+			if err != nil {
+				return fmt.Errorf("bad %s in %q: %w", unit, line, err)
 			}
 		}
 		// BenchmarkTopology/<topology>/<algorithm>: name the axes.

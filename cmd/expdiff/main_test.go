@@ -53,6 +53,45 @@ func TestBenchWithinThresholdPasses(t *testing.T) {
 	}
 }
 
+// TestBenchReadsAllocFieldsAndCommittedBaseline diffs the committed
+// BENCH_topo.baseline.json (written before benchjson kept B/op and
+// allocs/op) against the same numbers in the newer report shape that
+// carries them: both decode, and nothing gates.
+func TestBenchReadsAllocFieldsAndCommittedBaseline(t *testing.T) {
+	oldP := filepath.Join("..", "..", "BENCH_topo.baseline.json")
+	base, err := loadBench(oldP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type withAllocs struct {
+		Benchmark   string  `json:"benchmark"`
+		NsPerOp     float64 `json:"ns_per_op"`
+		SimMs       float64 `json:"sim_ms,omitempty"`
+		BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
+		AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	}
+	var results []withAllocs
+	for name, r := range base {
+		results = append(results, withAllocs{name, r.NsPerOp, r.SimMs, 4096, 12})
+	}
+	data, err := json.Marshal(map[string]any{"schema": "repro-bench/v1", "results": results})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newP := filepath.Join(t.TempDir(), "new.json")
+	if err := os.WriteFile(newP, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	n, err := run(&sb, oldP, newP, 25, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 {
+		t.Fatalf("identical numbers reported %d regressions:\n%s", n, sb.String())
+	}
+}
+
 // TestBenchInjectedRegressionFails is the CI gate's contract: an
 // injected ns/op slowdown beyond the threshold must produce a non-zero
 // regression count (and thus exit 1).

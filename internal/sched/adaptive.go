@@ -58,21 +58,23 @@ type adaptivePlanner struct {
 	tl  *obs.Timeline
 }
 
-func newAdaptivePlanner(p pattern.Matrix, cfg network.Config) *adaptivePlanner {
-	n := p.N()
-	ad := &adaptivePlanner{
-		cfg: cfg, n: n,
-		wireRate: map[pairKey]float64{},
-		nodeRate: map[pairKey]float64{},
+func newAdaptivePlanner(p pattern.Matrix, cfg network.Config) (*adaptivePlanner, error) {
+	x, err := newMsgIndex(p)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if p[i][j] > 0 {
-				ad.remaining = append(ad.remaining, Transfer{Src: i, Dst: j, Bytes: p[i][j]})
-			}
+	ad := &adaptivePlanner{
+		cfg: cfg, n: x.n,
+		remaining: make([]Transfer, 0, x.msgs),
+		wireRate:  map[pairKey]float64{},
+		nodeRate:  map[pairKey]float64{},
+	}
+	for i := 0; i < x.n; i++ {
+		for _, j := range x.outs(i) {
+			ad.remaining = append(ad.remaining, Transfer{Src: i, Dst: j, Bytes: p[i][j]})
 		}
 	}
-	return ad
+	return ad, nil
 }
 
 // FlowStarted implements network.FlowObserver.
@@ -289,11 +291,14 @@ func (t *teeObserver) FlowFinished(f network.FlowInfo) {
 // GS's static step count.
 func runAdaptiveMetrics(req Request) (*Metrics, error) {
 	p := req.Pattern
+	ad, err := newAdaptivePlanner(p, req.Cfg)
+	if err != nil {
+		return nil, err
+	}
 	m, err := newMachine(p.N(), req)
 	if err != nil {
 		return nil, err
 	}
-	ad := newAdaptivePlanner(p, req.Cfg)
 	ad.met = req.Met
 	ad.tl = req.Timeline
 	m.Net().SetObserver(&teeObserver{planner: ad, obs: req.Obs})

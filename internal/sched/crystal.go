@@ -40,6 +40,9 @@ func RunCrystalRouter(p pattern.Matrix, cfg network.Config) (sim.Time, error) {
 // runCrystalOn executes the crystal router on an existing (un-run)
 // machine, so callers can attach tracing or observers first.
 func runCrystalOn(m *cmmd.Machine, p pattern.Matrix) (sim.Time, error) {
+	if err := validatePattern(p); err != nil {
+		return 0, err
+	}
 	n := p.N()
 	delivered := make([][]int, n) // delivered[dst] = bytes received per origin
 	for i := range delivered {

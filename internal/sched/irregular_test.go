@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/network"
 	"repro/internal/pattern"
 )
 
@@ -220,5 +222,52 @@ func TestQuickGSStepBound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInvalidPatternsReturnErrors feeds the three malformed patterns
+// pattern.Validate rejects to every irregular algorithm, through the
+// planning path (Irregular, or Plan for the auxiliary entries) and
+// Execute: each must return Validate's error, never panic or spin.
+func TestInvalidPatternsReturnErrors(t *testing.T) {
+	diagonal := pattern.PaperP(8)
+	diagonal[3][3] = 5
+	ragged := pattern.PaperP(8)
+	ragged[5] = ragged[5][:6]
+	negative := pattern.PaperP(8)
+	negative[2][6] = -1
+	cases := []struct {
+		name string
+		m    pattern.Matrix
+		want string
+	}{
+		{"diagonal", diagonal, "nonzero diagonal [3][3]"},
+		{"ragged", ragged, "row 5 has 6 columns"},
+		{"negative", negative, "negative entry [2][6]"},
+	}
+	cfg := network.DefaultConfig()
+	for _, c := range cases {
+		for _, alg := range []string{"LS", "PS", "BS", "GS", "GSR", "AS", "CRYSTAL"} {
+			inf, err := Lookup(alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(path string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s %s via %s: err = %v, want %q", c.name, alg, path, err, c.want)
+				}
+			}
+			if inf.plan != nil {
+				if inf.Aux {
+					_, err = inf.Plan(Request{Pattern: c.m})
+				} else {
+					_, err = Irregular(alg, c.m)
+				}
+				check("plan", err)
+			}
+			_, err = inf.Execute(Request{Pattern: c.m, Cfg: cfg})
+			check("Execute", err)
+		}
 	}
 }

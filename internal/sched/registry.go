@@ -109,16 +109,16 @@ var registry = []*Info{
 		}},
 	{Name: "LS", Kind: KindIrregular,
 		Doc:  "Linear Scheduling: linear exchange filtered by the communication matrix (Section 4.1)",
-		plan: func(r Request) (*Schedule, error) { return LS(r.Pattern), nil }},
+		plan: indexed(planLS)},
 	{Name: "PS", Kind: KindIrregular,
 		Doc:  "Pairwise Scheduling: pairwise-exchange pairings filtered by the matrix (Section 4.2)",
-		plan: func(r Request) (*Schedule, error) { return PS(r.Pattern), nil }},
+		plan: indexed(planPS)},
 	{Name: "BS", Kind: KindIrregular,
 		Doc:  "Balanced Scheduling: balanced-exchange pairings filtered by the matrix (Section 4.3)",
-		plan: func(r Request) (*Schedule, error) { return BS(r.Pattern), nil }},
+		plan: indexed(planBS)},
 	{Name: "GS", Kind: KindIrregular,
 		Doc:  "Greedy Scheduling: greedy matching with the deterministic next-available scan (Section 4.4, Figure 12)",
-		plan: func(r Request) (*Schedule, error) { return GS(r.Pattern), nil }},
+		plan: indexed(func(x *msgIndex) *Schedule { return planGS(x, GSOptions{}) })},
 	{Name: "SHIFT", Kind: KindExchange, Aux: true,
 		Doc: "Circular shift by Offset in two deadlock-free waves (Section 3's regular patterns)",
 		plan: func(r Request) (*Schedule, error) {
@@ -130,7 +130,11 @@ var registry = []*Info{
 	{Name: "GSR", Kind: KindIrregular, Aux: true,
 		Doc: "Greedy Scheduling with seeded random tie-breaking (the paper's ablation variant)",
 		plan: func(r Request) (*Schedule, error) {
-			return GSWith(r.Pattern, GSOptions{RandomTieBreak: true, Seed: r.Seed}), nil
+			x, err := newMsgIndex(r.Pattern)
+			if err != nil {
+				return nil, err
+			}
+			return planGS(x, GSOptions{RandomTieBreak: true, Seed: r.Seed}), nil
 		}},
 	{Name: "AS", Kind: KindIrregular, Aux: true,
 		Doc: "Adaptive Scheduling: greedy-matching phases re-planned mid-run from observed wire and end-to-end transfer rates (fault-aware; beyond the paper)",
@@ -239,7 +243,10 @@ func (a *Info) Execute(req Request) (*Metrics, error) {
 
 // validate rejects requests the algorithm's planner or runner would
 // otherwise panic on: machine sizes that are not powers of two, missing
-// patterns, out-of-range broadcast roots.
+// patterns, out-of-range broadcast roots. A pattern's contents are
+// validated where they are read: by the irregular planners' index pass
+// (newMsgIndex), which costs them no extra scan, and by the crystal
+// router before its node programs start.
 func (a *Info) validate(req Request) error {
 	if a.Kind == KindIrregular {
 		if req.Pattern == nil {

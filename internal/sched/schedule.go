@@ -15,7 +15,9 @@
 //
 // Irregular schedulers (Section 4): LS, PS, BS (the three exchange
 // algorithms filtered by a communication matrix) and GS (greedy matching,
-// Figure 12).
+// Figure 12). All of them plan from a sparse message index
+// (msgindex.go): one O(N²) read of the matrix, then work proportional
+// to the messages placed in each step.
 //
 // Beyond the paper, AS (adaptive.go) schedules the same irregular
 // patterns in greedy-matching phases that are re-planned mid-run from
